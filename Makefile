@@ -44,8 +44,11 @@ bench-json3:
 # CI smoke for the lock-free read path: one iteration of the parallel
 # lookup and contention benchmarks under the race detector. Catches data
 # races the unit tests' interleavings miss, without benchmark runtimes.
+# Also one iteration of the tenant-quota eviction benchmark at each
+# residency size, so its setup and sub-benchmark names stay runnable.
 bench-smoke:
 	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCloudLookupParallel|BenchmarkCloudContention' -benchtime 1x .
+	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkPutTenantQuota' -benchtime 1x ./internal/cache
 
 # Reproduce every paper figure at full scale (several minutes).
 figures:

@@ -258,7 +258,7 @@ func (c *Cache) Put(cp document.Copy, now int64) ([]document.Document, error) {
 		c.noteTenantBytes(tenant, size)
 	}
 	c.entries[cp.Doc.URL] = cp
-	c.policy.onInsert(cp.Doc.URL, size)
+	c.policy.onInsert(cp.Doc.URL, tenant, size)
 	c.persist(cp)
 	evicted := c.makeTenantRoom(tenant, c.tenantQuotaOf(tenant), cp.Doc.URL, now)
 	evicted = append(evicted, c.makeRoom(cp.Doc.URL, now)...)
@@ -275,16 +275,27 @@ func (c *Cache) makeRoom(protect string, now int64) []document.Document {
 	}
 	var evicted []document.Document
 	for c.used > c.capacity {
-		url, ok := c.policy.victim(protect)
+		doc, ok := c.evictOne(protect, "", false, now)
 		if !ok {
 			break
 		}
-		victim := c.entries[url]
-		c.removeLocked(url)
-		c.evictBytes.Observe(now, float64(victim.Doc.Size))
-		evicted = append(evicted, victim.Doc)
+		evicted = append(evicted, doc)
 	}
 	return evicted
+}
+
+// evictOne evicts the policy's next victim — cache-wide, or among the
+// tenant's own entries when scoped — never the protected URL. It reports
+// false when nothing evictable remains. Caller holds the lock.
+func (c *Cache) evictOne(protect, tenant string, scoped bool, now int64) (document.Document, bool) {
+	url, ok := c.policy.victim(protect, tenant, scoped)
+	if !ok {
+		return document.Document{}, false
+	}
+	victim := c.entries[url]
+	c.removeLocked(url)
+	c.evictBytes.Observe(now, float64(victim.Doc.Size))
+	return victim.Doc, true
 }
 
 // Remove drops a document, returning whether it was present.

@@ -2,8 +2,8 @@ package cache
 
 import (
 	"container/heap"
-	"container/list"
 	"fmt"
+	"sort"
 )
 
 // ReplacementKind selects the document replacement policy an edge cache
@@ -39,18 +39,31 @@ func (k ReplacementKind) String() string {
 }
 
 // replacementPolicy tracks stored documents and nominates eviction victims.
+//
+// Every policy ranks documents by (key, seq): key is the policy's priority
+// (always 0 under LRU) and seq a cache-wide access sequence, so ranks are
+// unique and order documents across tenants. The lowest rank is evicted
+// first. Each policy keeps one order per tenant with resident documents,
+// and each entry holds a handle to its own tenant's order: a
+// tenant-scoped victim is the head of that tenant's order, a cache-wide
+// victim the lowest-ranked head across the orders. An untenanted cache
+// keeps a single order, so it pays nothing for tenancy.
+//
 // Implementations are not safe for concurrent use; Cache serialises calls
 // under its own lock.
 type replacementPolicy interface {
-	// onInsert registers a newly stored document.
-	onInsert(url string, size int64)
+	// onInsert registers a newly stored document of the given tenant, or
+	// refreshes the priority of one already stored.
+	onInsert(url, tenant string, size int64)
 	// onAccess records a hit on a stored document.
 	onAccess(url string)
 	// onRemove deregisters a document (eviction or explicit removal).
 	onRemove(url string)
-	// victim nominates the next document to evict, skipping exclude.
-	// It returns false when no evictable document remains.
-	victim(exclude string) (string, bool)
+	// victim nominates the next document to evict, skipping exclude: the
+	// lowest-ranked document of the tenant when scoped, of the whole
+	// cache otherwise. The caller evicts the nominee. It returns false
+	// when no evictable document remains.
+	victim(exclude, tenant string, scoped bool) (string, bool)
 	// ordered returns the stored URLs in decreasing keep-priority
 	// (the document evicted last comes first).
 	ordered() []string
@@ -68,83 +81,222 @@ func newReplacementPolicy(kind ReplacementKind) replacementPolicy {
 	}
 }
 
+// tenantOrders holds a policy's per-tenant orders: by tenant for inserts
+// and scoped victims, and as a dense slice for the cache-wide victim scan.
+// An order is dropped once its tenant has nothing resident, so the scan
+// visits only tenants that hold documents.
+type tenantOrders[O comparable] struct {
+	byTenant map[string]O
+	all      []O
+}
+
+func (t *tenantOrders[O]) get(tenant string) (O, bool) {
+	o, ok := t.byTenant[tenant]
+	return o, ok
+}
+
+// of returns the tenant's order, creating it with mk on first use.
+func (t *tenantOrders[O]) of(tenant string, mk func(tenant string) O) O {
+	if o, ok := t.byTenant[tenant]; ok {
+		return o
+	}
+	o := mk(tenant)
+	if t.byTenant == nil {
+		t.byTenant = make(map[string]O)
+	}
+	t.byTenant[tenant] = o
+	t.all = append(t.all, o)
+	return o
+}
+
+func (t *tenantOrders[O]) drop(tenant string) {
+	o := t.byTenant[tenant]
+	delete(t.byTenant, tenant)
+	last := len(t.all) - 1
+	for i, x := range t.all {
+		if x == o {
+			var zero O
+			t.all[i], t.all[last] = t.all[last], zero
+			t.all = t.all[:last]
+			return
+		}
+	}
+}
+
+// rankedURL is one document and its rank, for ordered().
+type rankedURL struct {
+	key float64
+	seq uint64
+	url string
+}
+
+// byDecreasingRank sorts documents by decreasing keep-priority: highest
+// (key, seq) first.
+func byDecreasingRank(rs []rankedURL) []string {
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].key != rs[j].key {
+			return rs[i].key > rs[j].key
+		}
+		return rs[i].seq > rs[j].seq
+	})
+	urls := make([]string, len(rs))
+	for i := range rs {
+		urls[i] = rs[i].url
+	}
+	return urls
+}
+
 // --- LRU ---
 
+// lruEntry is one stored document, linked into its tenant's recency list.
+type lruEntry struct {
+	url        string
+	seq        uint64 // cache-wide access stamp: higher = more recent
+	order      *lruOrder
+	prev, next *lruEntry
+}
+
+// lruOrder is one tenant's recency list, a ring through the root
+// sentinel: root.next is the most recently used entry, root.prev the
+// tenant's next victim.
+type lruOrder struct {
+	tenant string
+	root   lruEntry
+}
+
+func newLRUOrder(tenant string) *lruOrder {
+	o := &lruOrder{tenant: tenant}
+	o.root.prev, o.root.next = &o.root, &o.root
+	return o
+}
+
+func (o *lruOrder) empty() bool { return o.root.next == &o.root }
+
+func (o *lruOrder) pushFront(e *lruEntry) {
+	e.prev, e.next = &o.root, o.root.next
+	e.next.prev = e
+	o.root.next = e
+}
+
+func (e *lruEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// head returns the tenant's least recently used entry other than
+// exclude, or nil.
+func (o *lruOrder) head(exclude string) *lruEntry {
+	e := o.root.prev
+	if e != &o.root && e.url == exclude {
+		e = e.prev
+	}
+	if e == &o.root {
+		return nil
+	}
+	return e
+}
+
 type lruPolicy struct {
-	order *list.List // front = most recently used; values are string URLs
-	elems map[string]*list.Element
+	seq    uint64
+	elems  map[string]*lruEntry
+	orders tenantOrders[*lruOrder]
 }
 
 func newLRUPolicy() *lruPolicy {
-	return &lruPolicy{order: list.New(), elems: make(map[string]*list.Element)}
+	return &lruPolicy{elems: make(map[string]*lruEntry)}
 }
 
-func (p *lruPolicy) onInsert(url string, _ int64) {
-	if el, ok := p.elems[url]; ok {
-		p.order.MoveToFront(el)
+// touch stamps the entry as the most recent access and moves it to the
+// front of its tenant's list.
+func (p *lruPolicy) touch(e *lruEntry) {
+	p.seq++
+	e.seq = p.seq
+	e.unlink()
+	e.order.pushFront(e)
+}
+
+func (p *lruPolicy) onInsert(url, tenant string, _ int64) {
+	if e, ok := p.elems[url]; ok {
+		p.touch(e)
 		return
 	}
-	p.elems[url] = p.order.PushFront(url)
+	o := p.orders.of(tenant, newLRUOrder)
+	p.seq++
+	e := &lruEntry{url: url, seq: p.seq, order: o}
+	o.pushFront(e)
+	p.elems[url] = e
 }
 
 func (p *lruPolicy) onAccess(url string) {
-	if el, ok := p.elems[url]; ok {
-		p.order.MoveToFront(el)
+	if e, ok := p.elems[url]; ok {
+		p.touch(e)
 	}
 }
 
 func (p *lruPolicy) onRemove(url string) {
-	if el, ok := p.elems[url]; ok {
-		p.order.Remove(el)
-		delete(p.elems, url)
+	e, ok := p.elems[url]
+	if !ok {
+		return
+	}
+	e.unlink()
+	delete(p.elems, url)
+	if e.order.empty() {
+		p.orders.drop(e.order.tenant)
 	}
 }
 
-func (p *lruPolicy) victim(exclude string) (string, bool) {
-	for el := p.order.Back(); el != nil; el = el.Prev() {
-		url, ok := el.Value.(string)
-		if !ok {
-			continue
+func (p *lruPolicy) victim(exclude, tenant string, scoped bool) (string, bool) {
+	var best *lruEntry
+	if scoped {
+		if o, ok := p.orders.get(tenant); ok {
+			best = o.head(exclude)
 		}
-		if url != exclude {
-			return url, true
+	} else {
+		for _, o := range p.orders.all {
+			if e := o.head(exclude); e != nil && (best == nil || e.seq < best.seq) {
+				best = e
+			}
 		}
 	}
-	return "", false
+	if best == nil {
+		return "", false
+	}
+	return best.url, true
 }
 
 func (p *lruPolicy) ordered() []string {
-	out := make([]string, 0, p.order.Len())
-	for el := p.order.Front(); el != nil; el = el.Next() {
-		if url, ok := el.Value.(string); ok {
-			out = append(out, url)
-		}
+	rs := make([]rankedURL, 0, len(p.elems))
+	for _, e := range p.elems {
+		rs = append(rs, rankedURL{seq: e.seq, url: e.url})
 	}
-	return out
+	return byDecreasingRank(rs)
 }
 
-// --- priority-heap base shared by LFU and GDS ---
+// --- priority heaps shared by LFU and GDS ---
 
-// heapEntry is one document in a keyed min-heap: the lowest (key, seq)
-// pair is the next victim; seq breaks ties by insertion/access recency
-// (older first).
+// heapEntry is one document in its tenant's keyed min-heap: the lowest
+// (key, seq) pair is the tenant's next victim; seq breaks ties by
+// insertion/access recency (older first).
 type heapEntry struct {
-	url  string
-	key  float64
-	seq  uint64
-	idx  int
-	size int64
+	url   string
+	key   float64
+	seq   uint64
+	idx   int
+	size  int64
+	order *keyedOrder
+}
+
+func (e *heapEntry) less(o *heapEntry) bool {
+	if e.key != o.key {
+		return e.key < o.key
+	}
+	return e.seq < o.seq
 }
 
 type entryHeap []*heapEntry
 
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
-	}
-	return h[i].seq < h[j].seq
-}
+func (h entryHeap) Len() int           { return len(h) }
+func (h entryHeap) Less(i, j int) bool { return h[i].less(h[j]) }
 func (h entryHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].idx, h[j].idx = i, j
@@ -166,16 +318,49 @@ func (h *entryHeap) Pop() any {
 	return e
 }
 
+// keyedOrder is one tenant's min-heap; its root is the tenant's next
+// victim.
+type keyedOrder struct {
+	tenant string
+	heap   entryHeap
+}
+
+func newKeyedOrder(tenant string) *keyedOrder { return &keyedOrder{tenant: tenant} }
+
+// head returns the tenant's lowest-ranked entry other than exclude, or
+// nil.
+func (o *keyedOrder) head(exclude string) *heapEntry {
+	h := o.heap
+	if len(h) == 0 {
+		return nil
+	}
+	if h[0].url != exclude {
+		return h[0]
+	}
+	// The excluded entry is at the root: the better of its children is
+	// next.
+	best := -1
+	for c := 1; c <= 2 && c < len(h); c++ {
+		if best == -1 || h.Less(c, best) {
+			best = c
+		}
+	}
+	if best == -1 {
+		return nil
+	}
+	return h[best]
+}
+
 type keyedPolicy struct {
-	heap    entryHeap
 	entries map[string]*heapEntry
+	orders  tenantOrders[*keyedOrder]
 	seq     uint64
 	// rekeyInsert and rekeyAccess compute the new priority key.
 	rekeyInsert func(p *keyedPolicy, e *heapEntry)
 	rekeyAccess func(p *keyedPolicy, e *heapEntry)
 	// onEvict lets GDS inflate its clock with the victim's key.
 	onEvict func(p *keyedPolicy, e *heapEntry)
-	clock   float64 // GDS L value
+	clock   float64 // GDS L value, shared by every tenant's heap
 }
 
 func (p *keyedPolicy) nextSeq() uint64 {
@@ -183,17 +368,18 @@ func (p *keyedPolicy) nextSeq() uint64 {
 	return p.seq
 }
 
-func (p *keyedPolicy) onInsert(url string, size int64) {
+func (p *keyedPolicy) onInsert(url, tenant string, size int64) {
 	if e, ok := p.entries[url]; ok {
 		e.size = size
 		p.rekeyAccess(p, e)
 		e.seq = p.nextSeq()
-		heap.Fix(&p.heap, e.idx)
+		heap.Fix(&e.order.heap, e.idx)
 		return
 	}
-	e := &heapEntry{url: url, size: size, seq: p.nextSeq()}
+	o := p.orders.of(tenant, newKeyedOrder)
+	e := &heapEntry{url: url, size: size, seq: p.nextSeq(), order: o}
 	p.rekeyInsert(p, e)
-	heap.Push(&p.heap, e)
+	heap.Push(&o.heap, e)
 	p.entries[url] = e
 }
 
@@ -204,7 +390,7 @@ func (p *keyedPolicy) onAccess(url string) {
 	}
 	p.rekeyAccess(p, e)
 	e.seq = p.nextSeq()
-	heap.Fix(&p.heap, e.idx)
+	heap.Fix(&e.order.heap, e.idx)
 }
 
 func (p *keyedPolicy) onRemove(url string) {
@@ -212,55 +398,43 @@ func (p *keyedPolicy) onRemove(url string) {
 	if !ok {
 		return
 	}
-	heap.Remove(&p.heap, e.idx)
+	heap.Remove(&e.order.heap, e.idx)
 	delete(p.entries, url)
+	if len(e.order.heap) == 0 {
+		p.orders.drop(e.order.tenant)
+	}
 }
 
-func (p *keyedPolicy) victim(exclude string) (string, bool) {
-	if len(p.heap) == 0 {
-		return "", false
-	}
-	top := p.heap[0]
-	if top.url != exclude {
-		if p.onEvict != nil {
-			p.onEvict(p, top)
+// victim is the single eviction path for both scopes, so GDS inflates its
+// clock on every eviction, tenant-scoped ones included.
+func (p *keyedPolicy) victim(exclude, tenant string, scoped bool) (string, bool) {
+	var best *heapEntry
+	if scoped {
+		if o, ok := p.orders.get(tenant); ok {
+			best = o.head(exclude)
 		}
-		return top.url, true
-	}
-	// The excluded entry is at the top: check the better of its children.
-	best := -1
-	for _, c := range []int{1, 2} {
-		if c < len(p.heap) && (best == -1 || p.heap.Less(c, best)) {
-			best = c
+	} else {
+		for _, o := range p.orders.all {
+			if e := o.head(exclude); e != nil && (best == nil || e.less(best)) {
+				best = e
+			}
 		}
 	}
-	if best == -1 {
+	if best == nil {
 		return "", false
 	}
 	if p.onEvict != nil {
-		p.onEvict(p, p.heap[best])
+		p.onEvict(p, best)
 	}
-	return p.heap[best].url, true
+	return best.url, true
 }
 
 func (p *keyedPolicy) ordered() []string {
-	// Decreasing keep-priority = decreasing key.
-	out := make([]*heapEntry, len(p.heap))
-	copy(out, p.heap)
-	// Simple selection into a slice sorted by (key desc, seq desc).
-	urls := make([]string, 0, len(out))
-	for len(out) > 0 {
-		best := 0
-		for i := 1; i < len(out); i++ {
-			if out[i].key > out[best].key ||
-				(out[i].key == out[best].key && out[i].seq > out[best].seq) {
-				best = i
-			}
-		}
-		urls = append(urls, out[best].url)
-		out = append(out[:best], out[best+1:]...)
+	rs := make([]rankedURL, 0, len(p.entries))
+	for _, e := range p.entries {
+		rs = append(rs, rankedURL{key: e.key, seq: e.seq, url: e.url})
 	}
-	return urls
+	return byDecreasingRank(rs)
 }
 
 func newLFUPolicy() *keyedPolicy {

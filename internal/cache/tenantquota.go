@@ -61,8 +61,9 @@ func (c *Cache) tenantQuotaOf(tenant string) int64 {
 	return c.quotas.ByteQuota(tenant)
 }
 
-// makeTenantRoom evicts the tenant's own entries — in replacement-policy
-// order, never the protected key — until the tenant fits its quota.
+// makeTenantRoom evicts the tenant's own entries — the head of the
+// tenant's replacement order each time, never the protected key — until
+// the tenant fits its quota.
 // Tenant-fair eviction: one tenant going over its cap reclaims only its
 // own documents; other tenants' working sets are untouched. Caller holds
 // mu.
@@ -72,22 +73,11 @@ func (c *Cache) makeTenantRoom(tenant string, quota int64, protect string, now i
 	}
 	var evicted []document.Document
 	for c.tenantUsed[tenant] > quota {
-		ordered := c.policy.ordered() // decreasing keep-priority
-		victim := ""
-		for i := len(ordered) - 1; i >= 0; i-- {
-			key := ordered[i]
-			if key != protect && tenantOf(key) == tenant {
-				victim = key
-				break
-			}
-		}
-		if victim == "" {
+		doc, ok := c.evictOne(protect, tenant, true, now)
+		if !ok {
 			break // only the protected entry remains for this tenant
 		}
-		cp := c.entries[victim]
-		c.removeLocked(victim)
-		c.evictBytes.Observe(now, float64(cp.Doc.Size))
-		evicted = append(evicted, cp.Doc)
+		evicted = append(evicted, doc)
 	}
 	return evicted
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,20 +23,47 @@ import (
 
 var errNotFound = errors.New("node: not found")
 
-// nodeRecord is a beacon-side lookup record held by a live node.
+// nodeRecord is a beacon-side lookup record held by a live node. It is a
+// single allocation plus its holder list: the monitors are stored inline
+// and the holders — one to a few per document — as a sorted slice.
 type nodeRecord struct {
-	holders map[string]struct{}
+	holders holderSet
 	version document.Version
-	lookups *loadstats.EWRate
-	updates *loadstats.EWRate
+	lookups loadstats.EWRate
+	updates loadstats.EWRate
 }
 
 func newNodeRecord() *nodeRecord {
 	return &nodeRecord{
-		holders: make(map[string]struct{}),
-		lookups: loadstats.NewEWRate(60),
-		updates: loadstats.NewEWRate(60),
+		lookups: *loadstats.NewEWRate(60),
+		updates: *loadstats.NewEWRate(60),
 	}
+}
+
+// holderSet is a record's holder names, kept sorted and duplicate-free so
+// every copy handed out is already in deterministic order.
+type holderSet []string
+
+// add inserts h; adding a present holder is a no-op.
+func (s *holderSet) add(h string) {
+	if i, found := slices.BinarySearch(*s, h); !found {
+		*s = slices.Insert(*s, i, h)
+	}
+}
+
+// remove deletes h; removing an absent holder is a no-op.
+func (s *holderSet) remove(h string) {
+	if i, found := slices.BinarySearch(*s, h); found {
+		*s = slices.Delete(*s, i, i+1)
+	}
+}
+
+// list returns a sorted copy of the holders, nil when there are none.
+func (s holderSet) list() []string {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
 }
 
 // CacheNode is one live edge cache plus its beacon-point duties.
@@ -655,16 +683,12 @@ func (n *CacheNode) localLookup(url string) LookupResponse {
 	n.chargeBeaconLoad(url)
 	now := n.now()
 	rec.lookups.Observe(now, 1)
-	out := LookupResponse{
+	return LookupResponse{
 		Version:    rec.version,
+		Holders:    rec.holders.list(),
 		LookupRate: rec.lookups.Rate(now),
 		UpdateRate: rec.updates.Rate(now),
 	}
-	for h := range rec.holders {
-		out.Holders = append(out.Holders, h)
-	}
-	sort.Strings(out.Holders)
-	return out
 }
 
 func (n *CacheNode) handleLookup(w http.ResponseWriter, r *http.Request) {
@@ -719,7 +743,7 @@ func (n *CacheNode) localRegister(url, holder string) {
 		rec = newNodeRecord()
 		n.records[url] = rec
 	}
-	rec.holders[holder] = struct{}{}
+	rec.holders.add(holder)
 }
 
 func (n *CacheNode) localDeregister(url, holder string) {
@@ -739,7 +763,7 @@ func (n *CacheNode) localDeregister(url, holder string) {
 		return
 	}
 	if rec, ok := n.records[url]; ok {
-		delete(rec.holders, holder)
+		rec.holders.remove(holder)
 	}
 }
 
@@ -810,19 +834,17 @@ func (n *CacheNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if req.Doc.Version > rec.version {
 		rec.version = req.Doc.Version
 	}
-	holders := make([]string, 0, len(rec.holders))
-	for h := range rec.holders {
-		holders = append(holders, h)
-	}
-	sort.Strings(holders) // deterministic fan-out order
-	n.mu.Unlock()
-
+	// The rates are read under the lock: Rate decays the estimator in
+	// place, racing with concurrent lookups and updates observing it.
+	holders := rec.holders.list() // sorted: deterministic fan-out order
 	push := UpdateRequest{
 		Doc:        req.Doc,
 		LookupRate: rec.lookups.Rate(now),
 		UpdateRate: rec.updates.Rate(now),
 		Replicas:   len(holders),
 	}
+	n.mu.Unlock()
+
 	notified := 0
 	var stale []string
 	for _, h := range holders {
@@ -860,7 +882,7 @@ func (n *CacheNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	n.mu.Lock()
 	for _, h := range stale {
-		delete(rec.holders, h)
+		rec.holders.remove(h)
 	}
 	n.mu.Unlock()
 	writeJSON(w, http.StatusOK, UpdateResponse{Notified: notified})
@@ -1026,7 +1048,7 @@ func (n *CacheNode) handleSubranges(w http.ResponseWriter, r *http.Request) {
 		}
 		for _, h := range wr.Holders {
 			if !n.down[h] {
-				rec.holders[h] = struct{}{}
+				rec.holders.add(h)
 			}
 		}
 		delete(n.replicas, url)
@@ -1040,11 +1062,7 @@ func (n *CacheNode) handleSubranges(w http.ResponseWriter, r *http.Request) {
 		if err != nil || owner == n.name {
 			continue
 		}
-		wr := WireRecord{URL: url, Version: rec.version}
-		for h := range rec.holders {
-			wr.Holders = append(wr.Holders, h)
-		}
-		sort.Strings(wr.Holders)
+		wr := WireRecord{URL: url, Version: rec.version, Holders: rec.holders.list()}
 		outbound[owner] = append(outbound[owner], wr)
 		delete(n.records, url)
 	}
@@ -1112,12 +1130,7 @@ func (n *CacheNode) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	recs := make([]WireRecord, 0, len(n.records))
 	for url, rec := range n.records {
-		wr := WireRecord{URL: url, Version: rec.version}
-		for h := range rec.holders {
-			wr.Holders = append(wr.Holders, h)
-		}
-		sort.Strings(wr.Holders)
-		recs = append(recs, wr)
+		recs = append(recs, WireRecord{URL: url, Version: rec.version, Holders: rec.holders.list()})
 	}
 	n.mu.Unlock()
 	sort.Slice(recs, func(i, j int) bool { return recs[i].URL < recs[j].URL })
@@ -1169,7 +1182,7 @@ func (n *CacheNode) handleRecordsImport(w http.ResponseWriter, r *http.Request) 
 			rec.version = wr.Version
 		}
 		for _, h := range wr.Holders {
-			rec.holders[h] = struct{}{}
+			rec.holders.add(h)
 		}
 	}
 	n.mu.Unlock()
@@ -1267,7 +1280,7 @@ func (n *CacheNode) handleMembership(w http.ResponseWriter, r *http.Request) {
 	if len(n.down) > 0 {
 		for _, rec := range n.records {
 			for d := range n.down {
-				delete(rec.holders, d)
+				rec.holders.remove(d)
 			}
 		}
 		for url, wr := range n.replicas {
@@ -1318,10 +1331,10 @@ func (n *CacheNode) reconcileEntries(holder string, entries []ReconcileEntry) []
 				n.records[e.URL] = rec
 			}
 			if e.Version < rec.version {
-				delete(rec.holders, holder)
+				rec.holders.remove(holder)
 				res.Keep = false
 			} else {
-				rec.holders[holder] = struct{}{}
+				rec.holders.add(holder)
 				rec.version = e.Version
 			}
 			res.Version = rec.version
@@ -1419,12 +1432,7 @@ func (n *CacheNode) Records() []WireRecord {
 	defer n.mu.Unlock()
 	out := make([]WireRecord, 0, len(n.records))
 	for url, rec := range n.records {
-		wr := WireRecord{URL: url, Version: rec.version}
-		for h := range rec.holders {
-			wr.Holders = append(wr.Holders, h)
-		}
-		sort.Strings(wr.Holders)
-		out = append(out, wr)
+		out = append(out, WireRecord{URL: url, Version: rec.version, Holders: rec.holders.list()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out

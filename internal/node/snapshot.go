@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"sort"
 
 	"cachecloud/internal/document"
 )
@@ -29,13 +30,12 @@ func (n *CacheNode) SaveSnapshot(w io.Writer) error {
 	snap.Assign = n.assign
 	snap.Records = make([]WireRecord, 0, len(n.records))
 	for url, rec := range n.records {
-		wr := WireRecord{URL: url, Version: rec.version}
-		for h := range rec.holders {
-			wr.Holders = append(wr.Holders, h)
-		}
-		snap.Records = append(snap.Records, wr)
+		snap.Records = append(snap.Records, WireRecord{URL: url, Version: rec.version, Holders: rec.holders.list()})
 	}
 	n.mu.Unlock()
+	// Sorted records and holders make the encoding a function of the
+	// state alone: two saves of the same state are byte-identical.
+	sort.Slice(snap.Records, func(i, j int) bool { return snap.Records[i].URL < snap.Records[j].URL })
 
 	for _, url := range n.store.Documents() {
 		if cp, ok := n.store.Peek(url); ok {
@@ -84,7 +84,7 @@ func (n *CacheNode) LoadSnapshot(r io.Reader) error {
 			rec.version = wr.Version
 		}
 		for _, h := range wr.Holders {
-			rec.holders[h] = struct{}{}
+			rec.holders.add(h)
 		}
 	}
 	return nil
