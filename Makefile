@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-json2 bench-json3 bench-smoke figures figures-fast examples golden fuzz simsweep shield-sweep storm restart-chaos tenant-sweep clean
+.PHONY: all build vet test race bench bench-json bench-smoke figures figures-fast examples golden fuzz simsweep shield-sweep storm restart-chaos tenant-sweep clean
 
 all: build vet test
 
@@ -22,24 +22,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable benchmark report: every figure's series plus hot-path
-# micro-benchmark timings (ns/op, allocs/op), written to BENCH_1.json.
+# Machine-readable benchmark report: every figure's series, the hot-path
+# micro-benchmark timings (ns/op, allocs/op) and the scale benchmarks
+# (parallel lookups, seedref contention, the two-million-document replay
+# and the shield fetch replay), written to BENCH_<N>.json. N is required
+# so an existing baseline is never overwritten by accident:
+#   make bench-json N=4
 bench-json:
-	$(GO) run ./cmd/cloudsim -all -json -microbench -scale 0.08 > BENCH_1.json
-
-# Sharded-core benchmark report: the bench-json suite plus the parallel
-# lookup and seedref-contention micro-benchmarks and a parallel-read replay
-# over a two-million-document catalog, written to BENCH_2.json. BENCH_1.json
-# stays untouched as the pre-sharding baseline.
-bench-json2:
-	$(GO) run ./cmd/cloudsim -all -json -microbench -scalebench -scale 0.08 > BENCH_2.json
-
-# Two-tier benchmark report: the bench-json2 suite plus the shield-hop
-# series (cloud_lookup_shield_hop micro-benchmark and the scalebench
-# shield fetch replay through a 64-shield tier), written to BENCH_3.json.
-# BENCH_2.json stays untouched as the single-tier baseline.
-bench-json3:
-	$(GO) run ./cmd/cloudsim -all -json -microbench -scalebench -scale 0.08 > BENCH_3.json
+	@test -n "$(N)" || { echo "usage: make bench-json N=<k> (writes BENCH_<k>.json)" >&2; exit 2; }
+	$(GO) run ./cmd/cloudsim -all -json -microbench -scalebench -scale 0.08 > BENCH_$(N).json
 
 # CI smoke for the lock-free read path: one iteration of the parallel
 # lookup and contention benchmarks under the race detector. Catches data

@@ -54,6 +54,7 @@ func run(args []string) error {
 		cfgPath   = fs.String("config", "cluster.json", "cluster configuration file")
 		snap      = fs.String("snapshot", "", "snapshot file: loaded at start, written on POST /snapshot/save")
 		heartbeat = fs.Duration("heartbeat", 2*time.Second, "heartbeat period to the origin (0 disables)")
+		reconcile = fs.Duration("reconcile", 30*time.Second, "anti-entropy reconcile period; also bounds how long a beacon lists an evicted copy (0 disables)")
 		timeout   = fs.Duration("timeout", 5*time.Second, "per-request deadline for outbound calls")
 		retries   = fs.Int("retries", 2, "outbound retries after a failed attempt (-1 disables)")
 		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -107,6 +108,10 @@ func run(args []string) error {
 	}
 	if *heartbeat > 0 {
 		stop := n.StartHeartbeat(*heartbeat)
+		defer stop()
+	}
+	if *reconcile > 0 {
+		stop := n.StartReconcile(*reconcile)
 		defer stop()
 	}
 	if warm, recovered := n.WarmBootInfo(); warm {

@@ -98,6 +98,13 @@ type CacheNode struct {
 	hbSeq  int64
 	tracer *obs.Tracer
 
+	// Lazy deregistration (see queueGone): per beacon, the evicted URLs
+	// the beacon still lists this node for, each tagged with the goneSeq
+	// value of its queueing so a flush clears only what it delivered.
+	goneMu  sync.Mutex
+	gone    map[string]map[string]uint64
+	goneSeq uint64
+
 	// Operational metrics live in the obs registry: counters are atomic
 	// (no n.mu needed to bump them) and /metrics renders the registry
 	// without holding n.mu across the response write.
@@ -188,6 +195,7 @@ func NewCacheNode(name string, cfg ClusterConfig) (*CacheNode, error) {
 		replicaFrom:  make(map[string]string),
 		down:         make(map[string]bool),
 		loads:        make(map[int][]int64),
+		gone:         make(map[string]map[string]uint64),
 		degradedURLs: make(map[string]bool),
 	}
 	router, err := NewShieldRouter(cfg)
@@ -323,7 +331,6 @@ func (n *CacheNode) Handler() http.Handler {
 	mux.HandleFunc("GET /doc", n.handleDoc)
 	mux.HandleFunc("GET /lookup", n.handleLookup)
 	mux.HandleFunc("POST /register", n.handleRegister)
-	mux.HandleFunc("POST /deregister", n.handleDeregister)
 	mux.HandleFunc("GET /fetch", n.handleFetch)
 	mux.HandleFunc("POST /update", n.handleUpdate)
 	mux.HandleFunc("POST /apply", n.handleApply)
@@ -602,6 +609,9 @@ func (n *CacheNode) peerRetrieve(ctx context.Context, url string, lr LookupRespo
 // place runs the placement decision and registers the copy when stored.
 // An empty beaconBase skips registration (fully degraded path: no beacon
 // is reachable, so the copy stays unregistered until the next lookup).
+// The copies the store evicted to make room are queued as lazy
+// deregistrations first, so those owed to this copy's beacon ride on its
+// /register.
 func (n *CacheNode) place(ctx context.Context, doc document.Document, beaconName, beaconBase string, lr LookupResponse, now int64) bool {
 	pctx := placement.Context{
 		Now: now, CacheID: n.name, DocURL: doc.URL, DocSize: doc.Size,
@@ -620,13 +630,17 @@ func (n *CacheNode) place(ctx context.Context, doc document.Document, beaconName
 	if err != nil {
 		return false
 	}
-	n.register(ctx, doc.URL, beaconName, beaconBase)
+	n.cancelGone(doc.URL)
 	for _, dead := range evicted {
-		n.deregister(ctx, dead.URL)
+		n.deregister(dead.URL)
 	}
+	n.register(ctx, doc.URL, beaconName, beaconBase)
 	return true
 }
 
+// register lists this node as a holder of url at its beacon. A remote
+// /register also delivers the lazy deregistrations pending for that
+// beacon; they are cleared only once the call succeeds.
 func (n *CacheNode) register(ctx context.Context, url, beaconName, beaconBase string) {
 	if beaconName == n.name {
 		n.localRegister(url, n.name)
@@ -635,22 +649,165 @@ func (n *CacheNode) register(ctx context.Context, url, beaconName, beaconBase st
 	if beaconBase == "" {
 		return
 	}
-	_ = n.tp.PostJSON(ctx, beaconBase+"/register", RegisterRequest{URL: url, Node: n.name}, nil)
+	gone, mark := n.pendingGone(beaconName)
+	err := n.tp.PostJSON(ctx, beaconBase+"/register", RegisterRequest{URL: url, Node: n.name, Gone: gone}, nil)
+	if err == nil {
+		n.goneDelivered(ctx, beaconName, gone, mark)
+	}
 }
 
-func (n *CacheNode) deregister(ctx context.Context, url string) {
-	beaconName, beaconBase, err := n.beaconURL(url)
+// deregister drops this node from an evicted URL's beacon record: at once
+// when the beacon is this node, lazily otherwise. A beacon the origin
+// declared dead is skipped; its records are rebuilt without this copy.
+func (n *CacheNode) deregister(url string) {
+	beacon, err := n.assignSnapshot().ownerOf(url, n.cfg.IntraGen)
 	if err != nil {
 		return
 	}
-	if beaconName == n.name {
+	if beacon == n.name {
 		n.localDeregister(url, n.name)
 		return
 	}
-	if n.isDown(beaconName) {
+	if n.isDown(beacon) {
 		return
 	}
-	_ = n.tp.PostJSON(ctx, beaconBase+"/deregister", RegisterRequest{URL: url, Node: n.name}, nil)
+	n.queueGone(beacon, url)
+}
+
+// --- lazy deregistration ---
+//
+// An evicted copy costs no RPC of its own. Its URL waits in the pending
+// set of its beacon until the next /register or /reconcile this node
+// sends there, which carries the set in Gone. Meanwhile the beacon lists
+// a holder without the copy: a requester's /fetch gets a 404 and moves
+// on to the next holder or the origin, and an /update's /apply answers
+// held:false, which prunes the holder. The reconcile pass contacts every
+// beacon with pending entries, so where StartReconcile runs, its period
+// bounds how long an entry waits; without it the wait lasts until the
+// next /register to that beacon. The sets live in memory only and a
+// restart loses them.
+
+// queueGone adds url to beacon's pending set.
+func (n *CacheNode) queueGone(beacon, url string) {
+	n.goneMu.Lock()
+	defer n.goneMu.Unlock()
+	n.goneSeq++
+	n.putGoneLocked(beacon, url, n.goneSeq)
+}
+
+func (n *CacheNode) putGoneLocked(beacon, url string, seq uint64) {
+	set := n.gone[beacon]
+	if set == nil {
+		set = make(map[string]uint64)
+		n.gone[beacon] = set
+	}
+	set[url] = seq
+}
+
+// cancelGone drops any pending entry for url: the node stores the URL
+// again, so a beacon still listing it is right.
+func (n *CacheNode) cancelGone(url string) {
+	n.goneMu.Lock()
+	defer n.goneMu.Unlock()
+	for beacon, set := range n.gone {
+		delete(set, url)
+		if len(set) == 0 {
+			delete(n.gone, beacon)
+		}
+	}
+}
+
+// pendingGone returns beacon's pending URLs, sorted, and the sequence
+// mark that clearGone needs to tell them from entries queued later.
+func (n *CacheNode) pendingGone(beacon string) (urls []string, mark uint64) {
+	n.goneMu.Lock()
+	defer n.goneMu.Unlock()
+	set := n.gone[beacon]
+	if len(set) == 0 {
+		return nil, n.goneSeq
+	}
+	urls = make([]string, 0, len(set))
+	for url := range set {
+		urls = append(urls, url)
+	}
+	sort.Strings(urls)
+	return urls, n.goneSeq
+}
+
+// clearGone removes the delivered entries of beacon's pending set. An
+// entry cancelled and queued again since pendingGone has a sequence
+// number above mark and stays.
+func (n *CacheNode) clearGone(beacon string, urls []string, mark uint64) {
+	if len(urls) == 0 {
+		return
+	}
+	n.goneMu.Lock()
+	defer n.goneMu.Unlock()
+	set := n.gone[beacon]
+	for _, url := range urls {
+		if seq, ok := set[url]; ok && seq <= mark {
+			delete(set, url)
+		}
+	}
+	if len(set) == 0 {
+		delete(n.gone, beacon)
+	}
+}
+
+// goneDelivered settles a successful flush to beacon: it clears the
+// delivered entries, then registers again each delivered URL the store
+// holds. Such a URL was stored anew while the flush was in flight; the
+// re-store cancelled its entry and sent its own /register, which may have
+// reached the beacon before this flush's removal did.
+func (n *CacheNode) goneDelivered(ctx context.Context, beacon string, urls []string, mark uint64) {
+	n.clearGone(beacon, urls, mark)
+	for _, url := range urls {
+		if !n.store.Has(url) {
+			continue
+		}
+		if name, base, err := n.beaconURL(url); err == nil {
+			n.register(ctx, url, name, base)
+		}
+	}
+}
+
+// rekeyGone moves every pending entry to its beacon under the assignment
+// a, after an install. Entries that now fall on this node are applied to
+// the local record at once.
+func (n *CacheNode) rekeyGone(a Assignments) {
+	var local []string
+	n.goneMu.Lock()
+	old := n.gone
+	n.gone = make(map[string]map[string]uint64, len(old))
+	for beacon, set := range old {
+		for url, seq := range set {
+			owner, err := a.ownerOf(url, n.cfg.IntraGen)
+			if err != nil {
+				owner = beacon
+			}
+			if owner == n.name {
+				local = append(local, url)
+				continue
+			}
+			n.putGoneLocked(owner, url, seq)
+		}
+	}
+	n.goneMu.Unlock()
+	for _, url := range local {
+		n.localDeregister(url, n.name)
+	}
+}
+
+// goneBeacons returns the beacons with pending entries, sorted.
+func (n *CacheNode) goneBeacons() []string {
+	n.goneMu.Lock()
+	defer n.goneMu.Unlock()
+	beacons := make([]string, 0, len(n.gone))
+	for beacon := range n.gone {
+		beacons = append(beacons, beacon)
+	}
+	sort.Strings(beacons)
+	return beacons
 }
 
 // --- beacon duties ---
@@ -767,24 +924,40 @@ func (n *CacheNode) localDeregister(url, holder string) {
 	}
 }
 
+// handleRegister drops the holder from the URLs it reports gone, then
+// adds it to the registered URL.
 func (n *CacheNode) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := readJSON(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	if err := checkHolderReport(req.Node, req.Gone); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if req.URL == "" {
+		writeErr(w, http.StatusBadRequest, errors.New("missing url"))
+		return
+	}
+	for _, url := range req.Gone {
+		n.localDeregister(url, req.Node)
+	}
 	n.localRegister(req.URL, req.Node)
 	writeJSON(w, http.StatusOK, struct{}{})
 }
 
-func (n *CacheNode) handleDeregister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+// checkHolderReport rejects a holder report with no holder name or an
+// empty gone URL, which would otherwise become records keyed "" or
+// holders named "".
+func checkHolderReport(node string, gone []string) error {
+	if node == "" {
+		return errors.New("missing node")
 	}
-	n.localDeregister(req.URL, req.Node)
-	writeJSON(w, http.StatusOK, struct{}{})
+	if slices.Contains(gone, "") {
+		return errors.New("empty url in gone")
+	}
+	return nil
 }
 
 // handleFetch serves a held copy to a sibling. Serving an existing copy
@@ -1067,6 +1240,7 @@ func (n *CacheNode) handleSubranges(w http.ResponseWriter, r *http.Request) {
 		delete(n.records, url)
 	}
 	n.mu.Unlock()
+	n.rekeyGone(req)
 
 	owners := make([]string, 0, len(outbound))
 	for owner := range outbound {
@@ -1312,6 +1486,19 @@ func (n *CacheNode) handleReconcile(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	if err := checkHolderReport(req.Node, req.Gone); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	for _, e := range req.Entries {
+		if e.URL == "" {
+			writeErr(w, http.StatusBadRequest, errors.New("empty url in entries"))
+			return
+		}
+	}
+	for _, url := range req.Gone {
+		n.localDeregister(url, req.Node)
+	}
 	writeJSON(w, http.StatusOK, ReconcileResponse{Results: n.reconcileEntries(req.Node, req.Entries)})
 }
 
@@ -1347,9 +1534,12 @@ func (n *CacheNode) reconcileEntries(holder string, entries []ReconcileEntry) []
 
 // Reconcile runs one holder-side anti-entropy pass: every stored copy is
 // reported to its current beacon point, grouped into one /reconcile call
-// per beacon. Copies the beacon rules stale (Keep=false) are dropped from
-// the store. Beacons that are down or unreachable are skipped — their
-// copies are retried on the next pass. Returns how many copies were
+// per beacon, together with the lazy deregistrations pending for it. A
+// beacon with pending entries but no stored copies is contacted too, so
+// each pass flushes every reachable beacon's pending set. Copies the
+// beacon rules stale (Keep=false) are dropped from the store. Beacons
+// that are down or unreachable are skipped — their copies and pending
+// entries are retried on the next pass. Returns how many copies were
 // reported and how many were dropped as stale.
 func (n *CacheNode) Reconcile(ctx context.Context) (reported, dropped int) {
 	n.resubscribeDegraded(ctx)
@@ -1387,6 +1577,15 @@ func (n *CacheNode) Reconcile(ctx context.Context) (reported, dropped int) {
 		}
 		g.entries = append(g.entries, e)
 	}
+	for _, name := range n.goneBeacons() {
+		if groups[name] != nil || n.isDown(name) {
+			continue
+		}
+		if base, ok := n.cfg.Addrs[name]; ok {
+			groups[name] = &group{base: base}
+			beacons = append(beacons, name)
+		}
+	}
 
 	apply := func(results []ReconcileResult) {
 		for _, res := range results {
@@ -1404,10 +1603,12 @@ func (n *CacheNode) Reconcile(ctx context.Context) (reported, dropped int) {
 	for _, name := range beacons {
 		g := groups[name]
 		var resp ReconcileResponse
-		req := ReconcileRequest{Node: n.name, Entries: g.entries}
+		gone, mark := n.pendingGone(name)
+		req := ReconcileRequest{Node: n.name, Entries: g.entries, Gone: gone}
 		if err := n.tp.PostJSON(ctx, g.base+"/reconcile", req, &resp); err != nil {
 			continue
 		}
+		n.goneDelivered(ctx, name, gone, mark)
 		apply(resp.Results)
 	}
 	return reported, dropped

@@ -22,6 +22,9 @@ type LocalCluster struct {
 	Shields map[string]*ShieldNode
 	servers []*httptest.Server
 	byName  map[string]*httptest.Server
+	// stopReconcile holds each running cache node's reconcile-loop stop
+	// function (empty when Cfg.ReconcileInterval is zero).
+	stopReconcile map[string]func()
 }
 
 // TransportFactory builds the outbound transport for a named cluster
@@ -46,20 +49,21 @@ func StartLocalClusterWith(nodeNames []string, ringSize int, docs []document.Doc
 		return nil, fmt.Errorf("node: %d nodes cannot form rings of %d", len(nodeNames), ringSize)
 	}
 	cfg := ClusterConfig{
-		IntraGen:         opts.IntraGen,
-		CapacityBytes:    opts.CapacityBytes,
-		UtilityPlacement: opts.UtilityPlacement,
-		MaxInflight:      opts.MaxInflight,
-		MissQueue:        opts.MissQueue,
-		LimitMode:        opts.LimitMode,
-		StoreDir:         opts.StoreDir,
-		Fsync:            opts.Fsync,
-		Clock:            opts.Clock,
-		Tracer:           opts.Tracer,
-		Shields:          opts.Shields,
-		CloudID:          opts.CloudID,
-		Tenants:          opts.Tenants,
-		Addrs:            make(map[string]string, len(nodeNames)),
+		IntraGen:          opts.IntraGen,
+		CapacityBytes:     opts.CapacityBytes,
+		UtilityPlacement:  opts.UtilityPlacement,
+		MaxInflight:       opts.MaxInflight,
+		MissQueue:         opts.MissQueue,
+		LimitMode:         opts.LimitMode,
+		StoreDir:          opts.StoreDir,
+		Fsync:             opts.Fsync,
+		Clock:             opts.Clock,
+		Tracer:            opts.Tracer,
+		Shields:           opts.Shields,
+		CloudID:           opts.CloudID,
+		Tenants:           opts.Tenants,
+		ReconcileInterval: opts.ReconcileInterval,
+		Addrs:             make(map[string]string, len(nodeNames)),
 	}
 	if len(cfg.Shields) > 0 {
 		cfg.ShieldAddrs = make(map[string]string, len(cfg.Shields))
@@ -78,9 +82,10 @@ func StartLocalClusterWith(nodeNames []string, ringSize int, docs []document.Doc
 	}
 
 	lc := &LocalCluster{
-		Cfg:    cfg,
-		Caches: make(map[string]*CacheNode, len(nodeNames)),
-		byName: make(map[string]*httptest.Server, len(nodeNames)),
+		Cfg:           cfg,
+		Caches:        make(map[string]*CacheNode, len(nodeNames)),
+		byName:        make(map[string]*httptest.Server, len(nodeNames)),
+		stopReconcile: make(map[string]func()),
 	}
 
 	// Reserve listeners first so every node knows every address.
@@ -155,7 +160,25 @@ func StartLocalClusterWith(nodeNames []string, ringSize int, docs []document.Doc
 	originSrv.Config.Handler = on.Handler()
 	originSrv.Start()
 	lc.Cfg = cfg
+	for name, cn := range lc.Caches {
+		lc.startReconcile(name, cn)
+	}
 	return lc, nil
+}
+
+// startReconcile runs cn's reconcile loop when the config asks for one.
+func (lc *LocalCluster) startReconcile(name string, cn *CacheNode) {
+	if lc.Cfg.ReconcileInterval > 0 {
+		lc.stopReconcile[name] = cn.StartReconcile(lc.Cfg.ReconcileInterval)
+	}
+}
+
+// haltReconcile stops the named node's reconcile loop, if it runs one.
+func (lc *LocalCluster) haltReconcile(name string) {
+	if stop, ok := lc.stopReconcile[name]; ok {
+		stop()
+		delete(lc.stopReconcile, name)
+	}
 }
 
 // StopNode kills one cache node's server, simulating a crash. Returns
@@ -167,6 +190,7 @@ func (lc *LocalCluster) StopNode(name string) bool {
 	}
 	srv.Close()
 	delete(lc.byName, name)
+	lc.haltReconcile(name)
 	return true
 }
 
@@ -217,12 +241,16 @@ func (lc *LocalCluster) RestartNode(name string, mk TransportFactory) (*CacheNod
 	lc.Caches[name] = cn
 	lc.byName[name] = srv
 	lc.servers = append(lc.servers, srv)
+	lc.startReconcile(name, cn)
 	return cn, nil
 }
 
 // Close shuts down every server in the cluster and seals each node's
 // durable tier (a no-op for memory-only nodes).
 func (lc *LocalCluster) Close() {
+	for name := range lc.stopReconcile {
+		lc.haltReconcile(name)
+	}
 	for _, s := range lc.servers {
 		s.Close()
 	}

@@ -31,7 +31,6 @@ var fuzzEndpoints = []struct {
 	{"GET", "/doc", false},
 	{"GET", "/lookup", false},
 	{"POST", "/register", false},
-	{"POST", "/deregister", false},
 	{"GET", "/fetch", false},
 	{"POST", "/update", false},
 	{"POST", "/apply", false},
@@ -62,14 +61,15 @@ var fuzzEndpoints = []struct {
 func FuzzProtocolDecode(f *testing.F) {
 	f.Add(uint8(0), "url=http://live/doc/1", []byte(""))
 	f.Add(uint8(2), "", []byte(`{"url":"http://live/doc/1","node":"n0"}`))
-	f.Add(uint8(5), "", []byte(`{"doc":{"url":"http://live/doc/1","size":100,"version":2}}`))
-	f.Add(uint8(7), "", []byte(`{"rings":[[{"node":"n0","lo":0,"hi":99}]]}`))
-	f.Add(uint8(9), "", []byte(`{"records":[{"url":"u","holders":["n0"],"version":1}]}`))
-	f.Add(uint8(13), "", []byte(`{"down":["n1"]}`))
-	f.Add(uint8(17), "", []byte(`{"url":"http://live/doc/1"}`))
-	f.Add(uint8(21), "", []byte(`{"node":"n1","seq":1,"recordsHeld":3}`))
-	f.Add(uint8(7), "", []byte(`{"rings":[[]]}`))
-	f.Add(uint8(5), "", []byte(`{"doc":`))
+	f.Add(uint8(2), "", []byte(`{"url":"http://live/doc/1","node":"n1","gone":["http://live/doc/2","http://live/doc/3"]}`))
+	f.Add(uint8(4), "", []byte(`{"doc":{"url":"http://live/doc/1","size":100,"version":2}}`))
+	f.Add(uint8(6), "", []byte(`{"rings":[[{"node":"n0","lo":0,"hi":99}]]}`))
+	f.Add(uint8(8), "", []byte(`{"records":[{"url":"u","holders":["n0"],"version":1}]}`))
+	f.Add(uint8(12), "", []byte(`{"down":["n1"]}`))
+	f.Add(uint8(16), "", []byte(`{"url":"http://live/doc/1"}`))
+	f.Add(uint8(20), "", []byte(`{"node":"n1","seq":1,"recordsHeld":3}`))
+	f.Add(uint8(6), "", []byte(`{"rings":[[]]}`))
+	f.Add(uint8(4), "", []byte(`{"doc":`))
 	f.Add(uint8(255), "%zz=&&;", []byte{0xff, 0x00, 0x7b})
 	f.Fuzz(func(t *testing.T, endpoint uint8, query string, body []byte) {
 		cfg := ClusterConfig{

@@ -11,21 +11,42 @@
 //	cache node
 //	  GET  /doc?url=U          client entry point: serve, cooperate, place
 //	  GET  /lookup?url=U       beacon duty: holder list + version
-//	  POST /register           beacon duty: add a holder
-//	  POST /deregister         beacon duty: drop a holder
+//	  POST /register           beacon duty: add a holder; drop the holder
+//	                           from the URLs in "gone" (lazy deregistration)
 //	  GET  /fetch?url=U        peer-to-peer copy transfer
 //	  POST /update             beacon duty: receive origin update, fan out
 //	  POST /apply              holder: apply a pushed update
+//	  POST /reconcile          beacon duty: a holder's anti-entropy report,
+//	                           with its pending "gone" entries
+//	  POST /purge              beacon duty: broadcast a purge as /drop
+//	  POST /drop               drop a purged copy and its record traces
 //	  POST /subranges          install a new sub-range assignment
+//	  GET  /subranges          this node's view of the assignment
 //	  POST /records/import     receive migrated lookup records
+//	  POST /records/replica    receive a sibling's lazy record replica
+//	  POST /replicate          push this node's records to its sibling
 //	  POST /loads/collect      report and reset cycle load counters
-//	  GET  /stats              node statistics
+//	  POST /membership         receive the origin's dead-peer list
+//	  POST /snapshot/save      persist a snapshot for a warm restart
+//	  GET  /healthz            liveness probe
+//	  GET  /stats, /metrics    node statistics
 //
 //	origin node
 //	  GET  /fetch?url=U        group-miss fetch
+//	  GET  /versions           document versions and purge generations
 //	  POST /publish            apply an update and push it to beacons
+//	  POST /purge              start a global or cloud-scoped purge
 //	  POST /rebalance          run one sub-range determination cycle
-//	  GET  /stats              origin statistics
+//	  POST /replicate          trigger every node's lazy record replication
+//	  POST /repair             run one failure-recovery pass
+//	  POST /heartbeat          cache-node liveness beat
+//	  GET  /stats, /metrics    origin statistics
+//
+// An evicted copy is not deregistered by a call of its own: the holder
+// queues the URL for the beacon and the next /register (or /reconcile)
+// to that beacon carries it in "gone". Until then the beacon lists a
+// holder without the copy, which every reader of a holder list already
+// tolerates (see DESIGN.md, "Lazy deregistration").
 package node
 
 import (
@@ -34,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"cachecloud/internal/document"
 	"cachecloud/internal/obs"
@@ -129,6 +151,13 @@ type ClusterConfig struct {
 	// fire during construction, before SetTracer could run. Never
 	// serialised.
 	Tracer *obs.Tracer `json:"-"`
+	// ReconcileInterval, when positive, makes LocalCluster run every
+	// cache node's StartReconcile loop at this period; zero leaves the
+	// loop off. The pass also flushes pending lazy deregistrations, so
+	// the period bounds how long a beacon lists an evicted copy. A
+	// cmd/cachenode process takes its period from -reconcile instead.
+	// Never serialised.
+	ReconcileInterval time.Duration `json:"-"`
 }
 
 // Assignments carries the complete sub-range layout of all rings.
@@ -199,10 +228,14 @@ type LookupResponse struct {
 	UpdateRate float64          `json:"updateRate"`
 }
 
-// RegisterRequest is the body of POST /register and /deregister.
+// RegisterRequest is the body of POST /register: Node now holds URL.
+// Gone piggybacks the lazy deregistrations Node owes this beacon — URLs
+// it evicted since its last successful call here. The beacon drops Node
+// from each of them before adding it to URL.
 type RegisterRequest struct {
-	URL  string `json:"url"`
-	Node string `json:"node"`
+	URL  string   `json:"url"`
+	Node string   `json:"node"`
+	Gone []string `json:"gone,omitempty"`
 }
 
 // FetchResponse answers GET /fetch.
@@ -272,9 +305,12 @@ type ReconcileEntry struct {
 
 // ReconcileRequest is the body of the beacon POST /reconcile: a holder
 // reporting every copy it stores whose beacon duty falls on the target.
+// Gone carries the holder's pending lazy deregistrations for the target,
+// as on /register; they are applied before the entries.
 type ReconcileRequest struct {
 	Node    string           `json:"node"`
 	Entries []ReconcileEntry `json:"entries"`
+	Gone    []string         `json:"gone,omitempty"`
 }
 
 // ReconcileResult is the beacon's verdict on one reported copy. Keep is
@@ -571,21 +607,29 @@ func readJSON(r *http.Request, v any) error {
 	return json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(v)
 }
 
+// --- test and replay helpers: one-shot calls outside a Transport ---
+
 // postJSON sends a JSON request and decodes the JSON reply into out (out
-// may be nil). The client's Timeout, if any, doubles as the per-request
-// deadline; the body is always drained and closed so connections are
-// reused. New code should use a Transport instead.
+// may be nil), through the client's RoundTripper with its Timeout as the
+// per-request deadline. New code should use a Transport instead.
 func postJSON(client *http.Client, url string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("node: marshal %s: %w", url, err)
 	}
-	return doJSON(context.Background(), client, http.MethodPost, url, body, out, client.Timeout)
+	return doJSONURL(context.Background(), roundTripper(client), http.MethodPost, url, body, out, client.Timeout)
 }
 
 // getJSON performs a GET and decodes the JSON reply. A 404 returns
-// errNotFound so callers can distinguish absence from failure. The body
-// is always drained and closed so connections are reused.
+// errNotFound so callers can distinguish absence from failure.
 func getJSON(client *http.Client, url string, out any) error {
-	return doJSON(context.Background(), client, http.MethodGet, url, nil, out, client.Timeout)
+	return doJSONURL(context.Background(), roundTripper(client), http.MethodGet, url, nil, out, client.Timeout)
+}
+
+// roundTripper returns the client's RoundTripper, or the default one.
+func roundTripper(client *http.Client) http.RoundTripper {
+	if client.Transport != nil {
+		return client.Transport
+	}
+	return http.DefaultTransport
 }

@@ -100,9 +100,6 @@ type TransportOptions struct {
 	// transitions from closed to open (observability hook). It is invoked
 	// outside the transport's lock and must be safe for concurrent use.
 	OnBreakerOpen func(host string)
-	// Client overrides the underlying *http.Client. It should have no
-	// global Timeout: deadlines are per-request via context.
-	Client *http.Client
 	// Clock is the time source for breaker cooldowns and retry backoffs
 	// (nil selects the wall clock). Tests inject a manual clock to step
 	// through cooldown windows without sleeping.
@@ -122,11 +119,14 @@ type breaker struct {
 
 // HTTPTransport is the production Transport: JSON over HTTP with
 // per-request context deadlines, bounded retries with exponential backoff
-// and jitter, and a per-peer circuit breaker keyed by URL host.
+// and jitter, and a per-peer circuit breaker keyed by URL host. Calls go
+// straight to http.DefaultTransport's RoundTrip: node RPCs never
+// redirect, so http.Client's redirect and header-copy machinery would be
+// pure overhead.
 type HTTPTransport struct {
-	opts   TransportOptions
-	client *http.Client
-	clock  Clock
+	opts  TransportOptions
+	rt    http.RoundTripper
+	clock Clock
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -160,13 +160,9 @@ func NewHTTPTransport(opts TransportOptions) *HTTPTransport {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	return &HTTPTransport{
 		opts:     opts,
-		client:   client,
+		rt:       http.DefaultTransport,
 		clock:    clockOrReal(opts.Clock),
 		rng:      rand.New(rand.NewSource(seed)),
 		breakers: make(map[string]*breaker),
@@ -187,9 +183,17 @@ func (t *HTTPTransport) PostJSON(ctx context.Context, url string, in, out any) e
 	return t.do(ctx, http.MethodPost, url, body, out)
 }
 
-// do runs the retry loop around one logical call.
+// do runs the retry loop around one logical call. The URL is parsed
+// once: the breaker key is its host and every attempt reuses it.
 func (t *HTTPTransport) do(ctx context.Context, method, rawurl string, body []byte, out any) error {
-	host := hostOf(rawurl)
+	u, err := url.Parse(rawurl)
+	if err != nil {
+		return fmt.Errorf("node: %s %s: %w", method, rawurl, err)
+	}
+	host := u.Host
+	if host == "" {
+		host = rawurl
+	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		switch err := t.admit(host); {
@@ -203,7 +207,7 @@ func (t *HTTPTransport) do(ctx context.Context, method, rawurl string, body []by
 			// attempt's outcome so callers see a stable error.
 			lastErr = fmt.Errorf("%w: %s", ErrPeerDown, host)
 		default:
-			err := doJSON(ctx, t.client, method, rawurl, body, out, t.opts.RequestTimeout)
+			err := doJSON(ctx, t.rt, method, rawurl, u, body, out, t.opts.RequestTimeout)
 			if errors.Is(err, ErrShed) {
 				// A shed is a deliberate, non-retryable refusal from a
 				// live peer: remember its Retry-After window and count
@@ -378,26 +382,26 @@ func hostOf(rawurl string) string {
 	return u.Host
 }
 
+// doJSONURL is doJSON for a URL not yet parsed.
+func doJSONURL(ctx context.Context, rt http.RoundTripper, method, rawurl string, body []byte, out any, timeout time.Duration) error {
+	u, err := url.Parse(rawurl)
+	if err != nil {
+		return fmt.Errorf("node: %s %s: %w", method, rawurl, err)
+	}
+	return doJSON(ctx, rt, method, rawurl, u, body, out, timeout)
+}
+
 // doJSON performs one HTTP attempt with a per-request deadline, decoding
-// the JSON reply into out (out may be nil). The response body is always
-// drained and closed so the underlying connection returns to the pool.
-func doJSON(ctx context.Context, client *http.Client, method, rawurl string, body []byte, out any, timeout time.Duration) error {
+// the JSON reply into out (out may be nil). u is rawurl parsed. The
+// response body is always drained and closed so the underlying
+// connection returns to the pool.
+func doJSON(ctx context.Context, rt http.RoundTripper, method, rawurl string, u *url.URL, body []byte, out any, timeout time.Duration) error {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, rawurl, rd)
-	if err != nil {
-		return fmt.Errorf("node: %s %s: %w", method, rawurl, err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
+	req := newRequest(ctx, method, u, body)
 	// Propagate the caller's remaining budget so downstream queue waiters
 	// whose caller gave up stop consuming slots.
 	if dl, ok := ctx.Deadline(); ok {
@@ -408,7 +412,7 @@ func doJSON(ctx context.Context, client *http.Client, method, rawurl string, bod
 	if tid := TenantFromContext(ctx); tid != "" {
 		req.Header.Set(TenantHeader, tid)
 	}
-	resp, err := client.Do(req)
+	resp, err := rt.RoundTrip(req)
 	if err != nil {
 		return fmt.Errorf("node: %s %s: %w", method, rawurl, err)
 	}
@@ -429,6 +433,35 @@ func doJSON(ctx context.Context, client *http.Client, method, rawurl string, bod
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// jsonContentType is the request Content-Type header value, shared so a
+// request's header map holds it without a copy.
+var jsonContentType = []string{"application/json"}
+
+// newRequest builds one attempt's request from the parsed URL, as
+// http.NewRequestWithContext would from the string.
+func newRequest(ctx context.Context, method string, u *url.URL, body []byte) *http.Request {
+	req := &http.Request{
+		Method:     method,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header, 3),
+		Host:       u.Host,
+	}
+	if body != nil {
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.ContentLength = int64(len(body))
+		// GetBody lets the transport replay the body when a reused
+		// keep-alive connection turns out to be dead.
+		req.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		}
+		req.Header["Content-Type"] = jsonContentType
+	}
+	return req.WithContext(ctx)
 }
 
 // parseRetryAfter reads a 429 reply's retry hint: the millisecond
